@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 SUBPACKAGES = [
@@ -31,11 +32,26 @@ def first_paragraph(obj) -> str:
     return doc.split("\n\n", 1)[0].replace("\n", " ").strip()
 
 
+def stable(text: str) -> str:
+    """Drop object addresses (``<function f at 0x...>``) from a repr so the
+    output is the same on every run."""
+    return re.sub(r" at 0x[0-9a-f]+>", ">", text)
+
+
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        return stable(str(inspect.signature(obj)))
     except (ValueError, TypeError):
         return "(...)"
+
+
+def value_repr(obj) -> str:
+    """``repr`` with set members sorted (string hashing is randomized per
+    process, so raw set order differs between runs)."""
+    if isinstance(obj, (set, frozenset)) and obj:
+        items = ", ".join(sorted(repr(v) for v in obj))
+        return f"{type(obj).__name__}({{{items}}})"
+    return stable(repr(obj))
 
 
 def document_member(name: str, obj) -> list[str]:
@@ -64,7 +80,7 @@ def document_member(name: str, obj) -> list[str]:
     elif inspect.ismodule(obj):
         return []
     else:  # constants
-        lines.append(f"### `{name}` = `{obj!r}`\n")
+        lines.append(f"### `{name}` = `{value_repr(obj)}`\n")
     return lines
 
 

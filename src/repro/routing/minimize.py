@@ -17,10 +17,10 @@ million-prefix scale:
    the prefix set (original prefixes plus the pairwise lowest common
    ancestors of the sorted sequence, at most ``2n - 1`` nodes) with
    candidate sets as integer bitmasks and O(1) collapse arithmetic for
-   path-compressed edges.  Unlike the recursive reference in
-   :mod:`repro.routing.aggregate`, no expanded binary trie is ever built,
-   which is what makes the 1M-prefix ``make_full_v4`` table minimisable in
-   seconds.  Output is provably *minimal*: no smaller LPM-equivalent table
+   path-compressed edges.  Unlike the textbook recursive construction
+   (kept as the test suite's oracle in ``tests/ortc_oracle.py``), no
+   expanded binary trie is ever built, which is what makes the 1M-prefix
+   ``make_full_v4`` table minimisable in seconds.  Output is provably *minimal*: no smaller LPM-equivalent table
    exists.
 3. ``oc`` — :func:`ordered_covering` (again after the SpiNNaker
    exemplar): bottom-up merge of sibling pairs that share a next hop into
@@ -353,9 +353,9 @@ def _ortc_region(
 def ortc_table(table: RoutingTable) -> RoutingTable:
     """The minimal LPM-equivalent table (array-form ORTC).
 
-    Behaviourally identical to the recursive reference
-    (:func:`repro.routing.aggregate.aggregate_table`) but builds no
-    expanded trie: memory and time are ``O(n log n)`` in the number of
+    Identical output to the recursive expanded-trie construction (the
+    test suite's oracle, ``tests/ortc_oracle.py``) but builds no expanded
+    trie: memory and time are ``O(n log n)`` in the number of
     routes, independent of the address width, so it runs on the 1M-prefix
     ``make_full_v4`` snapshot.
     """

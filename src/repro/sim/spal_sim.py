@@ -789,7 +789,8 @@ class SpalSimulator:
         self.completed.append(pkt)
         tr = self._trace
         if tr is not None:
-            tr.record("complete", when, lc=pkt.arrival_lc, pid=pkt.pid)
+            tr.record("complete", when, lc=pkt.arrival_lc, pid=pkt.pid,
+                      hop=pkt.served)
 
     # -- faults, timeouts and failover --------------------------------------
 
@@ -1081,7 +1082,7 @@ class SpalSimulator:
         self, streams: Sequence[np.ndarray]
     ) -> Optional[List[tuple]]:
         """Resolve every packet's home LC (and, churn-free, its FE result)
-        up front.
+        up front, for the scalar loop.
 
         Without ``updates=...`` the forwarding tables are immutable during
         :meth:`run` (flushes and selective invalidations only touch
@@ -1097,22 +1098,25 @@ class SpalSimulator:
         bit-identical.  Matcher access counters are restored afterwards so
         precomputation stays side-effect free.  Returns None (scalar
         handlers take over) when batching is disabled or the address width
-        exceeds the kernels.
+        exceeds the kernels.  The array engine runs the same per-stream
+        body chunk by chunk (:meth:`_precompute_chunk`).
         """
         if not self._precompute_enabled():
             return None
-        snapshots = self._counter_snapshots()
-        out: List[tuple] = [
-            self._homes_hops_for(lc, np.asarray(stream, dtype=np.uint64))
-            for lc, stream in enumerate(streams)
-        ]
-        self._restore_counters(snapshots)
+        out: List[tuple] = []
+        for lc, stream in enumerate(streams):
+            homes, hops = self._precompute_chunk(
+                lc, np.asarray(stream, dtype=np.uint64)
+            )
+            # Plain lists: the scheduling loop indexes per packet, and
+            # list[i] yields a Python int with no per-element conversion.
+            out.append(
+                (homes.tolist(), None if hops is None else hops.tolist())
+            )
         return out
 
     def _precompute_enabled(self) -> bool:
-        """True when batched (home, hop) precomputation applies — the
-        streaming engine uses this gate per chunk instead of calling
-        :meth:`_precompute_streams` (which would consume the streams)."""
+        """True when batched (home, hop) precomputation applies."""
         return batch_enabled() and self.table.width <= MAX_KERNEL_WIDTH
 
     def _counter_snapshots(self) -> List[tuple]:
@@ -1131,15 +1135,16 @@ class SpalSimulator:
             c.max_accesses = max_accesses
 
     def _homes_hops_for(self, lc: int, dests: np.ndarray) -> tuple:
-        """(homes, hops) lists for one LC's destinations — the per-stream
-        body shared by whole-trace and per-chunk precomputation.  Pure per
-        element, so any chunking of a stream yields identical values."""
+        """(homes, hops) ``int64`` arrays for one LC's destinations (hops
+        is None while churn is armed) — the body shared by whole-trace and
+        per-chunk precomputation.  Pure per element, so any chunking of a
+        stream yields identical values."""
         if self.plan is not None:
             homes = self.plan.home_lc_batch(dests)
         else:
             homes = np.full(len(dests), lc, dtype=np.int64)
         if self._updates_armed:
-            return (homes.tolist(), None)
+            return (homes, None)
         hops = np.empty(len(dests), dtype=np.int64)
         for h in np.unique(homes):
             mask = homes == h
@@ -1161,14 +1166,11 @@ class SpalSimulator:
                     f"{int(hops[i])}, whole table says "
                     f"{int(expected[i])}"
                 )
-        # Plain lists: the scheduling loop indexes per packet, and
-        # list[i] yields a Python int with no per-element conversion.
-        return (homes.tolist(), hops.tolist())
+        return (homes, hops)
 
     def _precompute_chunk(self, lc: int, dests: np.ndarray) -> tuple:
-        """Per-chunk (homes, hops) for the streaming engine; matcher
-        counters are restored so chunked precomputation stays side-effect
-        free, exactly like the whole-trace pass."""
+        """(homes, hops) for one chunk of LC ``lc``'s stream; matcher
+        counters are restored so precomputation stays side-effect free."""
         snapshots = self._counter_snapshots()
         out = self._homes_hops_for(lc, dests)
         self._restore_counters(snapshots)
@@ -1204,10 +1206,12 @@ class SpalSimulator:
     ) -> SimulationResult:
         """Run the router over per-LC destination streams.
 
-        ``streams[i]`` feeds LC ``i``; arrival times follow the paper's
-        interarrival windows for ``speed_gbps`` — a single rate for every
-        LC, or one rate per LC (line cards aggregate different external
-        links; Sec. 5 notes Cisco-style aggregation up to 10 Gbps per LC).
+        ``streams[i]`` feeds LC ``i`` (a destination array or a
+        :class:`~repro.sim.streaming.PacketStream`); arrival times follow
+        the paper's interarrival windows for ``speed_gbps`` — a single rate
+        for every LC, or one rate per LC (line cards aggregate different
+        external links; Sec. 5 notes Cisco-style aggregation up to 10 Gbps
+        per LC).
         ``flush_cycles`` injects routing-update cache flushes at the given
         cycles (the paper's policy); ``update_events`` is a sequence of
         ``(cycle, prefix)`` pairs invalidated *selectively* instead — a
@@ -1239,11 +1243,18 @@ class SpalSimulator:
 
         ``engine`` selects the event-loop implementation: ``"array"`` (the
         packed-state engine of :mod:`repro.sim.array_engine`), ``"scalar"``
-        (per-packet Python objects over :class:`EventQueue`), or ``"auto"``
-        (array when batching is enabled — the ``REPRO_BATCH=0`` escape
-        hatch forces scalar).  The two engines are bit-identical; the
-        differential suite in ``tests/test_engine_identity.py`` enforces
-        it.
+        (per-packet Python objects over :class:`EventQueue`, the reference
+        oracle), or ``"auto"`` (array when batching is enabled — the
+        ``REPRO_BATCH=0`` escape hatch forces scalar).  The two engines are
+        bit-identical; the differential suite in
+        ``tests/test_engine_identity.py`` enforces it.  The array engine
+        treats every input as a stream — a materialised array is a
+        one-chunk :class:`~repro.sim.streaming.PacketStream` — and recycles
+        per-packet state as packets retire, so after an array run
+        ``sim.completed`` / ``sim.dropped_packets`` hold counts only (trace
+        the run to see individual packets; ``complete`` events carry the
+        served next hop).  The scalar loop materialises streams and keeps
+        its ``_Packet`` objects.
 
         ``monitor`` attaches a :class:`~repro.obs.monitor.HealthMonitor`
         to the in-run telemetry sampler (requires
@@ -1357,11 +1368,24 @@ class SpalSimulator:
                 "monitor=... requires config.sample_interval_cycles (the "
                 "health detectors consume sampled telemetry windows)"
             )
-        from .streaming import PacketStream
+        total = sum(len(s) for s in streams)
+        failover_lat: Optional[List[int]] = None
+        if self._resolve_engine(engine):
+            from .array_engine import ArrayEngine
 
-        use_array = self._resolve_engine(engine)
-        stream_mode = any(isinstance(s, PacketStream) for s in streams)
-        if stream_mode and not use_array:
+            # Materialised arrays and PacketStreams take the same loop;
+            # the engine precomputes (home, hop) chunk by chunk.
+            out = ArrayEngine(self).run_streamed(
+                streams, speeds, flush_cycles, update_events,
+                warmup_packets, sampler=sampler,
+            )
+            horizon = out["horizon"]
+            latencies = out["latencies"]
+            failover_lat = out["failover"]
+            t0 = time.perf_counter()
+        else:
+            from .streaming import PacketStream
+
             # The scalar loop is the readable reference implementation,
             # not the scale path (it allocates a _Packet per arrival
             # regardless): materialize streams up front so chunked input
@@ -1370,34 +1394,9 @@ class SpalSimulator:
                 s.materialize() if isinstance(s, PacketStream) else s
                 for s in streams
             ]
-            stream_mode = False
-        t0 = time.perf_counter()
-        # Streamed runs precompute (home, hop) chunk by chunk inside the
-        # engine; resolving the whole trace here would defeat O(chunk).
-        precomputed = (
-            None if stream_mode else self._precompute_streams(streams)
-        )
-        self.phase_seconds["precompute"] = time.perf_counter() - t0
-        total = sum(len(s) for s in streams)
-        failover_lat: Optional[List[int]] = None
-        if use_array:
-            from .array_engine import ArrayEngine
-
-            if stream_mode:
-                out = ArrayEngine(self).run_streamed(
-                    streams, speeds, flush_cycles, update_events,
-                    warmup_packets, sampler=sampler,
-                )
-            else:
-                out = ArrayEngine(self).run(
-                    streams, speeds, precomputed, flush_cycles,
-                    update_events, warmup_packets, sampler=sampler,
-                )
-            horizon = out["horizon"]
-            latencies = out["latencies"]
-            failover_lat = out["failover"]
             t0 = time.perf_counter()
-        else:
+            precomputed = self._precompute_streams(streams)
+            self.phase_seconds["precompute"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             tracing = self._trace is not None
             next_pid = 0

@@ -1,21 +1,21 @@
-"""Chunked packet streams for O(chunk)-memory simulation.
+"""Chunked packet streams: the array engine's only input form.
 
-``SpalSimulator.run`` historically took one materialized destination array
-per LC, and the array engine built per-packet state for the whole trace up
-front — fine at 10^5 packets, impossible at 10^8.  A
-:class:`PacketStream` instead declares its *length* up front and yields
-destinations in fixed-size chunks; the streaming event loop
-(:meth:`repro.sim.array_engine.ArrayEngine.run_streamed`) pulls chunks on
-demand, merges per-LC arrival windows, and recycles per-packet state as
-packets retire — peak memory tracks the chunk size and the in-flight
-population, not the packet count.
+A :class:`PacketStream` declares its *length* up front and yields
+destinations in fixed-size chunks.  The array engine
+(:meth:`repro.sim.array_engine.ArrayEngine.run_streamed`) takes every
+run's input this way — ``SpalSimulator.run`` wraps a materialized
+per-LC array as a one-chunk stream — pulls chunks on demand, merges
+per-LC arrivals into bounded windows, and recycles per-packet state as
+packets retire, so peak memory tracks the window and the in-flight
+population, not the packet count.  That is what lets 10^8-packet runs
+fit where a materialized trace would not.
 
 The chunking is *semantically invisible*: a run over
-``PacketStream.from_array(a, chunk_size=c)`` is bit-identical to the
-materialized run over ``a`` for every ``c`` (including per-packet chunks
-and one whole-trace chunk).  ``tests/test_streaming.py`` pins this with
-golden-digest comparisons and a Hypothesis sweep over random chunk
-boundaries.
+``PacketStream.from_array(a, chunk_size=c)`` is bit-identical to the run
+over ``a`` itself for every ``c`` (including per-packet chunks and one
+whole-trace chunk), and to the scalar reference loop, which materializes
+streams.  ``tests/test_streaming.py`` pins this with golden-digest
+comparisons and a Hypothesis sweep over random chunk boundaries.
 
 Streams declare their length because the engine pre-assigns the arrival
 sequence-number block (event keys embed the scalar scheduler's lc-major
@@ -78,8 +78,8 @@ class PacketStream:
         cls, dests: Sequence[int], chunk_size: Optional[int] = None
     ) -> "PacketStream":
         """Wrap a materialized array, re-chunked at ``chunk_size``
-        (``None`` = one whole-trace chunk — the ∞ case differential tests
-        use as the streaming-path baseline)."""
+        (``None`` = one whole-trace chunk, the form ``SpalSimulator.run``
+        gives a plain array on the array engine)."""
         arr = _as_dest_array(dests)
         if chunk_size is not None and chunk_size <= 0:
             raise SimulationError("chunk_size must be positive")

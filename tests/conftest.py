@@ -13,14 +13,20 @@ Three things live here:
 * **hypothesis profiles** — a capped ``ci-smoke`` profile so the CI
   engine-identity job bounds its example budget (select it with
   ``HYPOTHESIS_PROFILE=ci-smoke``).
+* **hang guard** — without pytest-timeout, ``faulthandler`` enforces the
+  ``timeout`` ceiling from ``pyproject.toml``: a test that runs past it
+  dumps every thread's traceback and ends the session with a failure.
 """
 
 from __future__ import annotations
 
+import faulthandler
+import importlib.util
 import os
 import subprocess
 import sys
 from contextlib import contextmanager
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -35,6 +41,74 @@ settings.register_profile("thorough", max_examples=200, deadline=None)
 _profile = os.environ.get("HYPOTHESIS_PROFILE")
 if _profile:
     settings.load_profile(_profile)
+
+
+# -- hang guard -------------------------------------------------------------
+
+#: pytest-timeout enforces the ``timeout`` ini ceiling itself when present.
+HAS_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
+
+
+def hang_guard_seconds(
+    timeout_ini, plugin_available: bool
+) -> Optional[float]:
+    """Seconds after which the faulthandler guard aborts a test, or None
+    when it stays off: pytest-timeout is installed, or no positive
+    ceiling is configured."""
+    if plugin_available or timeout_ini in (None, ""):
+        return None
+    seconds = float(timeout_ini)
+    return seconds if seconds > 0 else None
+
+
+def pytest_addoption(parser):
+    if not HAS_PYTEST_TIMEOUT:
+        parser.addini(
+            "timeout",
+            "per-test ceiling in seconds (pytest-timeout's option; enforced "
+            "with faulthandler while that plugin is absent)",
+            default=None,
+        )
+
+
+#: (ceiling seconds, private duplicate of the session's stderr) while the
+#: guard is armed; the duplicate is needed because output capture
+#: redirects fd 2 while a test runs, and the dump must reach the terminal.
+_GUARD = pytest.StashKey[tuple]()
+
+
+def pytest_configure(config):
+    seconds = hang_guard_seconds(
+        None if HAS_PYTEST_TIMEOUT else config.getini("timeout"),
+        HAS_PYTEST_TIMEOUT,
+    )
+    if seconds is not None:
+        try:
+            fd = sys.stderr.fileno()
+        except (AttributeError, ValueError):
+            fd = sys.__stderr__.fileno()
+        config.stash[_GUARD] = (seconds, os.dup(fd))
+
+
+def pytest_unconfigure(config):
+    guard = config.stash.get(_GUARD, None)
+    if guard is not None:
+        os.close(guard[1])
+        del config.stash[_GUARD]
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Arm the guard around each test's setup, call and teardown."""
+    guard = item.config.stash.get(_GUARD, None)
+    if guard is None:
+        yield
+        return
+    faulthandler.dump_traceback_later(guard[0], exit=True, file=guard[1])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 # -- session-scoped tables --------------------------------------------------

@@ -1,20 +1,16 @@
-"""Tests for ORTC table aggregation (routing.aggregate / minimize).
+"""Tests for ORTC table aggregation (``ortc_table`` in routing.minimize).
 
-The recursive constructor survives as ``_aggregate_table_recursive``, the
-independent oracle; the public entry points now run the packed-array
-pipeline in :mod:`repro.routing.minimize`."""
+The recursive expanded-trie constructor (``tests/ortc_oracle.py``) is the
+independent oracle the packed-array pipeline must reproduce."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.routing import Prefix, RoutingTable, random_small_table
-from repro.routing.aggregate import (
-    _aggregate_table_recursive,
-    aggregate_table,
-    aggregation_ratio,
-)
-from repro.routing.minimize import ortc_table
+from repro.routing.minimize import minimization_ratio, ortc_table
+
+from .ortc_oracle import ortc_recursive
 
 
 def assert_lpm_equivalent(original, aggregated, n_probes=400, seed=0):
@@ -102,8 +98,8 @@ class TestAtScale:
         table = RoutingTable.from_strings(
             [("10.0.0.0/9", 1), ("10.128.0.0/9", 1)]
         )
-        assert aggregation_ratio(table) == pytest.approx(2.0)
-        assert aggregation_ratio(RoutingTable()) == 1.0
+        assert minimization_ratio(table, "ortc") == pytest.approx(2.0)
+        assert minimization_ratio(RoutingTable(), "ortc") == 1.0
 
     def test_idempotent(self):
         table = random_small_table(200, seed=45)
@@ -185,18 +181,9 @@ class TestCompositionProperty:
             assert plan.tables[home].lookup(a) == table.lookup(a)
 
 
-class TestDeprecatedAlias:
-    def test_aggregate_table_warns_and_matches(self):
-        table = RoutingTable.from_strings(
-            [("10.0.0.0/9", 1), ("10.128.0.0/9", 1), ("12.0.0.0/8", 2)]
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = aggregate_table(table)
-        new = ortc_table(table)
-        assert sorted(legacy.routes()) == sorted(new.routes())
-
+class TestRecursiveOracle:
     def test_recursive_oracle_agrees(self):
         table = random_small_table(400, seed=9, max_length=18)
-        ref = _aggregate_table_recursive(table)
+        ref = ortc_recursive(table)
         new = ortc_table(table)
         assert sorted(ref.routes()) == sorted(new.routes())

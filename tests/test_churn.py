@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import CacheConfig, SpalConfig, SpalRouter
 from repro.errors import SimulationError, TrieError
+from repro.obs import Tracer
 from repro.routing import (
     ChurnSchedule,
     Prefix,
@@ -371,42 +372,55 @@ class TestSimulatorChurn:
     def test_selective_never_serves_stale_hop_end_to_end(self, table):
         """Every packet's *served* next hop must match an oracle replayed
         over the update timeline at its completion cycle — through LOC
-        hits, REM hits, waiting lists and fabric replies."""
+        hits, REM hits, waiting lists and fabric replies.  Served hops are
+        read from the trace's ``complete`` events."""
         horizon = 150_000
         updates = generate_churn(table, 200_000, horizon, seed=11)
         for policy in ("selective", "rem"):
             sched = generate_churn(table, 200_000, horizon, seed=11)
-            sim, res = self._run(table, updates=sched, policy=policy)
+            tracer = Tracer()
+            sim, res = self._run(
+                table, updates=sched, policy=policy, trace=tracer
+            )
+            arrivals = {
+                e["pid"]: (e["dest"], e["cycle"])
+                for e in tracer if e["name"] == "ingress"
+            }
+            served = sorted(
+                (e["cycle"], *arrivals[e["pid"]], e["hop"])
+                for e in tracer if e["name"] == "complete"
+            )
+            assert len(served) == res.packets
             events = sorted(updates.events(), key=lambda e: e.cycle)
             # Replay: oracle state as a function of cycle.
             oracle = HashReferenceMatcher(table)
             idx = 0
-            for pkt in sorted(sim.completed, key=lambda p: p.complete_time):
-                while idx < len(events) and events[idx].cycle < pkt.complete_time:
+            for complete_time, dest, arrival_time, hop in served:
+                while idx < len(events) and events[idx].cycle < complete_time:
                     oracle.apply_update(
                         events[idx].prefix, events[idx].next_hop
                     )
                     idx += 1
                 # The served hop must be the oracle answer at *some* cycle
                 # in [arrival, completion] — the update may land mid-flight.
-                want_now = oracle.lookup(pkt.dest)
-                if pkt.served != want_now:
+                want_now = oracle.lookup(dest)
+                if hop != want_now:
                     # Tolerate a hop read legitimately before an update
                     # that landed while the packet was in flight.
                     pre = HashReferenceMatcher(table)
                     for ev in events:
-                        if ev.cycle >= pkt.arrival_time:
+                        if ev.cycle >= arrival_time:
                             break
                         pre.apply_update(ev.prefix, ev.next_hop)
-                    valid = {want_now, pre.lookup(pkt.dest)}
+                    valid = {want_now, pre.lookup(dest)}
                     mid = HashReferenceMatcher(table)
                     for ev in events:
-                        if ev.cycle > pkt.complete_time:
+                        if ev.cycle > complete_time:
                             break
                         mid.apply_update(ev.prefix, ev.next_hop)
-                        valid.add(mid.lookup(pkt.dest))
-                    assert pkt.served in valid, (
-                        f"stale hop for {pkt.dest:#x} under {policy}"
+                        valid.add(mid.lookup(dest))
+                    assert hop in valid, (
+                        f"stale hop for {dest:#x} under {policy}"
                     )
 
     def test_flush_policy_costs_more_than_selective(self, table):
@@ -445,8 +459,6 @@ class TestSimulatorChurn:
         assert "churn_misses" in s
 
     def test_churn_events_traced(self, table):
-        from repro.obs import Tracer
-
         horizon = 150_000
         sched = generate_churn(table, 200_000, horizon, seed=17)
         tracer = Tracer(enabled=True)

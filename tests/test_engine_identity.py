@@ -14,7 +14,12 @@ contract two ways:
   speeds, bus fabric, victim caches, every update policy).
 
 Both run each configuration through ``engine="scalar"`` and
-``engine="array"`` and diff the full result digest.
+``engine="array"`` twice.  The untraced pair — the one that takes the
+array engine's batched hit path — must agree on the full result digest,
+packet counts, queue bookkeeping and resident cache state.  The traced
+pair must agree event for event, and the per-packet outcomes rebuilt from
+the traces (the array engine keeps counts only) must match each other and
+the scalar engine's own packet objects.
 """
 
 from __future__ import annotations
@@ -63,24 +68,37 @@ def run_both(table, config, run_kwargs=None, sim_kwargs=None,
     return out
 
 
+def packet_views(events):
+    """Per-packet outcomes rebuilt from a trace: completed packets as
+    ``(dest, arrival, completion, served hop, attempt)`` in completion
+    order, dropped packets as ``(dest, reason)`` in drop order."""
+    dest, arrival, attempt = {}, {}, {}
+    completed, dropped = [], []
+    for e in events:
+        name, pid = e["name"], e["pid"]
+        if name == "ingress":
+            dest[pid] = e["dest"]
+            arrival[pid] = e["cycle"]
+        elif name == "timeout.retry":
+            attempt[pid] = e["attempt"]
+        elif name == "complete":
+            completed.append((dest[pid], arrival[pid], e["cycle"], e["hop"],
+                              attempt.get(pid, 0)))
+        elif name == "drop":
+            dropped.append((dest[pid], e["reason"]))
+    return completed, dropped
+
+
 def assert_engines_identical(table, config, run_kwargs=None,
-                             sim_kwargs=None, streams=None, trace=False,
-                             n_packets=300):
-    (d_s, ev_s, sim_s), (d_a, ev_a, sim_a) = run_both(
-        table, config, run_kwargs, sim_kwargs, streams, trace, n_packets
+                             sim_kwargs=None, streams=None, n_packets=300):
+    (d_s, _, sim_s), (d_a, _, sim_a) = run_both(
+        table, config, run_kwargs, sim_kwargs, streams, False, n_packets
     )
     for key in d_s:
         assert d_s[key] == d_a[key], f"engines disagree on {key!r}"
-    if trace:
-        assert ev_s == ev_a, "trace streams differ"
-    # Post-run introspection parity: packet views and queue bookkeeping.
-    view_s = [(p.dest, p.arrival_time, p.complete_time, p.served,
-               p.measured, p.attempt) for p in sim_s.completed]
-    view_a = [(p.dest, p.arrival_time, p.complete_time, p.served,
-               p.measured, p.attempt) for p in sim_a.completed]
-    assert view_s == view_a
-    assert [(p.dest, p.dropped) for p in sim_s.dropped_packets] == \
-        [(p.dest, p.dropped) for p in sim_a.dropped_packets]
+    # Post-run introspection parity: packet counts and queue bookkeeping.
+    assert len(sim_s.completed) == len(sim_a.completed)
+    assert len(sim_s.dropped_packets) == len(sim_a.dropped_packets)
     assert (sim_s.queue.now, sim_s.queue.processed) == \
         (sim_a.queue.now, sim_a.queue.processed)
     # Resident cache state (the arrays were written back into the caches).
@@ -94,6 +112,20 @@ def assert_engines_identical(table, config, run_kwargs=None,
         ]
         assert flat(ca) == flat(cb)
         assert vars(ca.stats) == vars(cb.stats)
+    # Per-packet parity, through traces (tracing never changes results).
+    (t_s, ev_s, tsim_s), (t_a, ev_a, _) = run_both(
+        table, config, run_kwargs, sim_kwargs, streams, True, n_packets
+    )
+    assert t_s == d_s and t_a == d_a, "tracing changed a result"
+    assert ev_s == ev_a, "trace streams differ"
+    views = packet_views(ev_s)
+    assert views == packet_views(ev_a), "per-packet outcomes differ"
+    # The trace rebuild agrees with the scalar engine's packet objects.
+    assert views == (
+        [(p.dest, p.arrival_time, p.complete_time, p.served, p.attempt)
+         for p in tsim_s.completed],
+        [(p.dest, p.dropped) for p in tsim_s.dropped_packets],
+    )
 
 
 # -- random configurations ---------------------------------------------------
@@ -175,9 +207,8 @@ def scenarios(draw):
         )
         update_policy = draw(st.sampled_from(["flush", "selective", "rem"]))
     warmup = draw(st.sampled_from([0, 0, 25]))
-    trace = draw(st.booleans())
     return (config, seed, n_packets, faults, updates, update_policy,
-            warmup, trace)
+            warmup)
 
 
 class TestRandomizedIdentity:
@@ -185,7 +216,7 @@ class TestRandomizedIdentity:
     @settings(max_examples=30, deadline=None)
     def test_engines_bit_identical(self, scenario):
         (config, seed, n_packets, faults, updates, update_policy,
-         warmup, trace) = scenario
+         warmup) = scenario
         rng = np.random.default_rng(seed)
         streams = [
             rng.integers(0, 1 << 16, size=n_packets).astype(np.uint64)
@@ -197,9 +228,7 @@ class TestRandomizedIdentity:
         if updates is not None:
             run_kwargs["updates"] = updates
             run_kwargs["update_policy"] = update_policy
-        assert_engines_identical(
-            TABLE, config, run_kwargs, streams=streams, trace=trace
-        )
+        assert_engines_identical(TABLE, config, run_kwargs, streams=streams)
 
 
 # -- curated corners ---------------------------------------------------------
@@ -324,17 +353,14 @@ CASES = {
 class TestCuratedIdentity:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_scenario(self, case):
-        config, run_kwargs, sim_kwargs, trace = CASES[case]
+        config, run_kwargs, sim_kwargs, _ = CASES[case]
         # speed_gbps is a run() argument, not a per-case stream change.
-        assert_engines_identical(
-            TABLE, config, run_kwargs, sim_kwargs, trace=trace
-        )
+        assert_engines_identical(TABLE, config, run_kwargs, sim_kwargs)
 
     def test_wide_table(self):
         assert_engines_identical(
             TABLE_WIDE,
             SpalConfig(n_lcs=3, cache=CacheConfig(n_blocks=128)),
-            trace=False,
         )
 
     def test_ipv6(self):
@@ -349,7 +375,7 @@ class TestCuratedIdentity:
             TABLE_V6,
             SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=64,
                                                   victim_blocks=4)),
-            streams=streams, trace=True,
+            streams=streams,
         )
 
 

@@ -4,8 +4,9 @@ The equivalence contract is the whole point: every pass set must preserve
 the longest-prefix-match function exactly — against the dict table, against
 all five matcher structures, through the partition plan, under churn, and
 through a full simulation replay.  The recursive ORTC constructor
-(``_aggregate_table_recursive``) serves as the independent oracle for
-*minimality*: the array pipeline must reproduce its output bit for bit.
+(``ortc_recursive`` in ``tests/ortc_oracle.py``) serves as the independent
+oracle for *minimality*: the array pipeline must reproduce its output bit
+for bit.
 """
 
 import dataclasses
@@ -15,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.routing import Prefix, RoutingTable, random_small_table
-from repro.routing.aggregate import _aggregate_table_recursive
 from repro.routing.churn import generate_churn
 from repro.routing.minimize import (
     PASS_SETS,
@@ -34,6 +34,8 @@ from repro.tries import (
     LuleaTrie,
     MultibitTrie,
 )
+
+from .ortc_oracle import ortc_recursive
 
 MATCHERS = (BinaryTrie, LCTrie, LuleaTrie, MultibitTrie, HashReferenceMatcher)
 
@@ -146,14 +148,14 @@ class TestMinimalityOracle:
     @given(tables(), st.data())
     @settings(max_examples=120, deadline=None)
     def test_matches_recursive_ipv4(self, table, data):
-        ref = _aggregate_table_recursive(table)
+        ref = ortc_recursive(table)
         new = ortc_table(table)
         assert sorted(ref.routes()) == sorted(new.routes())
 
     @given(tables(width=128, max_routes=14, max_length=16))
     @settings(max_examples=50, deadline=None)
     def test_matches_recursive_ipv6(self, table):
-        ref = _aggregate_table_recursive(table)
+        ref = ortc_recursive(table)
         new = ortc_table(table)
         assert sorted(ref.routes()) == sorted(new.routes())
 

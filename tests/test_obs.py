@@ -367,6 +367,23 @@ class TestMetricsSnapshot:
         assert all(v >= 0 for v in sim.phase_seconds.values())
         assert not hasattr(result, "phase_seconds")
 
+    @pytest.mark.parametrize("engine", ["array", "scalar"])
+    def test_phase_seconds_charge_precompute(
+        self, table, engine, fast_path_toggle
+    ):
+        """A non-empty run reports all four phases, and batched (home, hop)
+        precomputation — per chunk, on the array engine — is charged to
+        its own phase rather than folded into ``run``."""
+        with fast_path_toggle(True):
+            sim = SpalSimulator(
+                table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=64))
+            )
+            sim.run(small_streams(2), engine=engine)
+        phases = sim.phase_seconds
+        assert set(phases) == {"precompute", "schedule", "run", "collect"}
+        assert all(v >= 0 for v in phases.values())
+        assert phases["precompute"] > 0
+
     def test_top_metrics(self):
         r = SimulationResult(
             name="t", n_lcs=1, latencies=np.array([1]), horizon_cycles=1,

@@ -1,14 +1,18 @@
 """Chunked streams are semantically invisible: streamed == materialized.
 
-The streaming path (:class:`repro.sim.PacketStream` +
-:meth:`ArrayEngine.run_streamed`) promises bit-identity with the
-materialized run for *every* chunking — per-packet chunks, odd sizes, one
-whole-trace chunk — on both engines (the scalar engine materializes).
-This module pins that three ways:
+The array engine (:meth:`ArrayEngine.run_streamed`) takes every input as
+a :class:`repro.sim.PacketStream` — a materialized array is a one-chunk
+stream — and promises bit-identical results for *every* chunking —
+per-packet chunks, odd sizes, one whole-trace chunk — and every merge
+window size, on both engines (the scalar engine materializes).  This
+module pins that four ways:
 
 * the six golden scenarios (IPv4/IPv6 × clean/faults/churn) replayed
   through streams at chunk sizes {1, 64, 4096, ∞} and diffed field by
   field against the materialized digest;
+* the same scenarios with the merge window shrunk to a few packets, so
+  slot blocks are recycled many times over, diffed against the golden
+  digests;
 * a Hypothesis property that cuts the same traces at *random* chunk
   boundaries — with faults and churn in play — and demands digest **and
   trace-stream** equality;
@@ -19,6 +23,8 @@ This module pins that three ways:
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -31,10 +37,11 @@ from repro.obs import Tracer
 from repro.routing import random_small_table
 from repro.routing.churn import generate_churn
 from repro.sim import DEFAULT_CHUNK, PacketStream, SpalSimulator, random_stream
+from repro.sim import array_engine
 from repro.traffic.packets import ArrivalClock, arrival_times
 
 from .conftest import result_digest
-from .test_golden_results import SCENARIOS, _build
+from .test_golden_results import GOLDEN_DIR, SCENARIOS, _build
 
 CHUNK_SIZES = [1, 64, 4096, None]
 
@@ -53,7 +60,7 @@ def _run(table, config, streams, kwargs, engine="array", trace=False):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_golden_streamed_bit_identical(name, chunk_size):
     table, config, streams, kwargs = _build(name)
-    base, _, _ = _run(table, config, streams, kwargs)
+    base, _, base_sim = _run(table, config, streams, kwargs)
     table, config, streams, kwargs = _build(name)
     chunked = [
         PacketStream.from_array(s, chunk_size=chunk_size) for s in streams
@@ -63,12 +70,31 @@ def test_golden_streamed_bit_identical(name, chunk_size):
         assert got[key] == base[key], (
             f"{name} streamed (chunk={chunk_size}) drifted on {key!r}"
         )
-    # Streamed runs keep counts only; len() and truthiness still work.
-    assert len(sim.completed) + len(sim.dropped_packets) == sum(
-        len(s) for s in streams
+    # Array runs keep counts only, materialized input or streamed;
+    # len() and truthiness still work.
+    for s in (base_sim, sim):
+        assert len(s.completed) + len(s.dropped_packets) == sum(
+            len(x) for x in streams
+        )
+        with pytest.raises(TypeError, match="counts only"):
+            s.completed[0]
+
+
+@pytest.mark.parametrize("window", [1, 5, 64])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_golden_small_windows_bit_identical(name, window, monkeypatch):
+    """Merge windows far smaller than the streams — so every LC
+    contributes a few arrivals per window and slot blocks are recycled
+    many times — still reproduce the golden digest."""
+    monkeypatch.setattr(array_engine, "_WINDOW", window)
+    table, config, streams, kwargs = _build(name)
+    got, _, _ = _run(
+        table, config,
+        [PacketStream.from_array(s, chunk_size=37) for s in streams],
+        kwargs,
     )
-    with pytest.raises(TypeError, match="counts only"):
-        sim.completed[0]
+    want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    assert json.loads(json.dumps(got)) == want, f"{name} drifted"
 
 
 @pytest.mark.parametrize("name", ["ipv4-faults", "ipv6-churn"])
