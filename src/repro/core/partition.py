@@ -24,17 +24,28 @@ its home LC by examining η fixed positions of the destination address
 ψ need not be a power of two: the 2^η bit patterns are assigned to ψ line
 cards with a balanced (longest-processing-time) mapping, so e.g. ψ = 3 gives
 two LCs one pattern each and one LC two patterns.
+
+The plan is built from the table's (value, length, hop) columns
+(:func:`repro.routing.arraytable.table_columns`, zero-copy for an
+:class:`~repro.routing.arraytable.ArrayRoutingTable`) with vector
+operations only: no :class:`~repro.routing.prefix.Prefix` is created and
+no per-route Python loop runs, for IPv4 and IPv6 alike (addresses wider
+than 64 bits are split into uint64 words).  Each LC's forwarding table is
+an un-inflated ``ArrayRoutingTable``; a churn run's
+:meth:`PartitionPlan.copy_for_updates` inflates its copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..batching import MAX_KERNEL_WIDTH, batch_enabled
 from ..errors import PartitionError, UnreachablePatternError
+from ..routing.arraytable import ArrayRoutingTable, table_columns
 from ..routing.prefix import Prefix
 from ..routing.table import NextHop, RoutingTable
 
@@ -73,6 +84,48 @@ def score_bit(
     return BitScore(position, wildcard, zeros, ones)
 
 
+def _int_field(name: str, value) -> int:
+    """``value`` as an int, or :class:`PartitionError` naming ``name``
+    (``bool`` is rejected although it subclasses ``int``)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise PartitionError(
+            f"{name} must be an int, got {value!r} "
+            f"({type(value).__name__})"
+        )
+    return int(value)
+
+
+def _address_column(values, width: int) -> np.ndarray:
+    """The values column as one array: uint64 up to 64 bits, an object
+    array of Python ints beyond (IPv6)."""
+    if width <= 64:
+        return np.asarray(values, dtype=np.uint64)
+    return np.array(values, dtype=object)
+
+
+def _address_words(column: np.ndarray, width: int) -> List[np.ndarray]:
+    """``column`` split into uint64 words, least significant first: one
+    word up to 64 bits, ``(lo, hi, ...)`` beyond, so every width takes the
+    same vector path."""
+    if width <= 64:
+        return [column]
+    mask = (1 << 64) - 1
+    return [
+        ((column >> (64 * j)) & mask).astype(np.uint64)
+        for j in range((width + 63) // 64)
+    ]
+
+
+def _bit_column(
+    words: Sequence[np.ndarray], width: int, position: int
+) -> np.ndarray:
+    """Bit ``position`` (MSB = 0) of every row, as int64 0/1."""
+    shift = width - 1 - position
+    bit = words[shift // 64] >> np.uint64(shift % 64)
+    bit &= np.uint64(1)
+    return bit.view(np.int64)
+
+
 def select_partition_bits(
     table: RoutingTable,
     n_bits: int,
@@ -80,32 +133,49 @@ def select_partition_bits(
 ) -> List[int]:
     """Choose ``n_bits`` control-bit positions per the paper's criteria.
 
-    ``candidate_positions`` defaults to every bit of the address width; the
-    paper notes large positions (ν > 24) are effectively ruled out by
-    Criterion (1) because most prefixes are shorter, so no explicit cut-off
-    is needed.
+    ``candidate_positions`` defaults (``None``) to every bit of the address
+    width; the paper notes large positions (ν > 24) are effectively ruled
+    out by Criterion (1) because most prefixes are shorter, so no explicit
+    cut-off is needed.  Repeated candidates count once.
+
+    The selection runs on the table's (value, length) columns.  Subsets
+    are a label per row; a prefix whose bit is ``*`` at a chosen position
+    is replicated into both halves, as the paper's recursion does.  Rows
+    are kept sorted by length, so the rows with ``*`` at a candidate ν
+    (length ≤ ν) are a leading slice and each candidate costs two
+    ``bincount`` calls.
     """
+    n_bits = _int_field("n_bits", n_bits)
     if n_bits < 0:
         raise PartitionError(f"n_bits must be non-negative, got {n_bits}")
     if n_bits == 0:
         return []
     width = table.width
-    candidates = list(candidate_positions or range(width))
+    candidates = list(
+        range(width)
+        if candidate_positions is None
+        else dict.fromkeys(
+            _int_field("candidate_positions entry", c)
+            for c in candidate_positions
+        )
+    )
     if any(not 0 <= c < width for c in candidates):
         raise PartitionError("candidate bit position out of range")
     if n_bits > len(candidates):
         raise PartitionError(
             f"cannot choose {n_bits} bits from {len(candidates)} candidates"
         )
-    prefixes = [p for p in table.prefixes()]
-    if batch_enabled() and width <= MAX_KERNEL_WIDTH and prefixes:
-        return _select_partition_bits_vec(prefixes, n_bits, candidates, width)
+    values, lengths, _ = table_columns(table)
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    words = [w[order] for w in _address_words(
+        _address_column(values, width), width
+    )]
+    subset = np.zeros(len(lengths), dtype=np.int64)
+    n_subsets = 1
     chosen: List[int] = []
-    # Current fragmentation: start with the whole set, split as bits are
-    # chosen.  Each subset is the multiset of prefixes compatible with one
-    # bit pattern over the chosen bits (wildcards replicated into both).
-    subsets: List[List[Prefix]] = [prefixes]
-    for _ in range(n_bits):
+    while True:
+        doubled = subset * 2
         best_position = -1
         best_key: Optional[Tuple[int, int, int]] = None
         for position in candidates:
@@ -117,94 +187,34 @@ def select_partition_bits(
             # spread): Φ* inflates both max and total (Criterion 1) and
             # |Φ0−Φ1| inflates the max and the spread (Criterion 2); the max
             # comes first because each LC's SRAM is sized by its own
-            # partition.
-            sizes: List[int] = []
-            for subset in subsets:
-                score = score_bit(subset, position)
-                sizes.append(score.zeros + score.wildcard)
-                sizes.append(score.ones + score.wildcard)
-            key = (max(sizes), sum(sizes), max(sizes) - min(sizes))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_position = position
-        chosen.append(best_position)
-        # Split every subset on the chosen bit.
-        next_subsets: List[List[Prefix]] = []
-        for subset in subsets:
-            zeros: List[Prefix] = []
-            ones: List[Prefix] = []
-            for prefix in subset:
-                if best_position >= prefix.length:
-                    zeros.append(prefix)
-                    ones.append(prefix)
-                elif (prefix.value >> (prefix.width - 1 - best_position)) & 1:
-                    ones.append(prefix)
-                else:
-                    zeros.append(prefix)
-            next_subsets.extend((zeros, ones))
-        subsets = next_subsets
-    return chosen
-
-
-def _select_partition_bits_vec(
-    prefixes: Sequence[Prefix],
-    n_bits: int,
-    candidates: Sequence[int],
-    width: int,
-) -> List[int]:
-    """Vectorized twin of the scalar selection loop below.
-
-    Subsets are carried as a label array over (replicated) prefix rows
-    instead of lists-of-lists; per-candidate Φ counts come from masked
-    ``bincount`` calls.  Candidate order and the (max, total, spread) key
-    are identical to the scalar path, so the chosen bits are bit-for-bit
-    the same.
-    """
-    values = np.fromiter(
-        (p.value for p in prefixes), dtype=np.uint64, count=len(prefixes)
-    )
-    lengths = np.fromiter(
-        (p.length for p in prefixes), dtype=np.int64, count=len(prefixes)
-    )
-    subset_id = np.zeros(len(prefixes), dtype=np.int64)
-    n_subsets = 1
-    chosen: List[int] = []
-    for _ in range(n_bits):
-        best_position = -1
-        best_key: Optional[Tuple[int, int, int]] = None
-        for position in candidates:
-            if position in chosen:
-                continue
-            wild = lengths <= position
-            bitv = (
-                (values >> np.uint64(width - 1 - position)) & np.uint64(1)
-            ).astype(bool)
-            w = np.bincount(subset_id[wild], minlength=n_subsets)
-            z = np.bincount(subset_id[~wild & ~bitv], minlength=n_subsets)
-            o = np.bincount(subset_id[~wild & bitv], minlength=n_subsets)
-            sizes = np.concatenate((z + w, o + w))
-            key = (
-                int(sizes.max()),
-                int(sizes.sum()),
-                int(sizes.max() - sizes.min()),
+            # partition.  sizes[2s + v] = Φv + Φ* of subset s.
+            k = int(np.searchsorted(lengths, position, side="right"))
+            defined = _bit_column([w[k:] for w in words], width, position)
+            defined += doubled[k:]
+            sizes = np.bincount(defined, minlength=2 * n_subsets)
+            sizes += np.repeat(
+                np.bincount(subset[:k], minlength=n_subsets), 2
             )
+            top = int(sizes.max())
+            key = (top, int(sizes.sum()), top - int(sizes.min()))
             if best_key is None or key < best_key:
                 best_key = key
                 best_position = position
         chosen.append(best_position)
-        # Split on the chosen bit: defined bits route to one side,
-        # wildcards are replicated into both.
-        wild = lengths <= best_position
-        bitv = (
-            (values >> np.uint64(width - 1 - best_position)) & np.uint64(1)
-        ).astype(np.int64)
-        subset_id = subset_id * 2 + np.where(wild, 0, bitv)
-        if wild.any():
-            values = np.concatenate((values, values[wild]))
-            lengths = np.concatenate((lengths, lengths[wild]))
-            subset_id = np.concatenate((subset_id, subset_id[wild] + 1))
+        if len(chosen) == n_bits:
+            return chosen
+        # Split every subset on the chosen bit: defined bits route to one
+        # half, '*' rows are repeated into both (adjacent copies keep the
+        # rows sorted by length).
+        k = int(np.searchsorted(lengths, best_position, side="right"))
+        wild = np.repeat(doubled[:k], 2)
+        wild[1::2] += 1
+        defined = _bit_column([w[k:] for w in words], width, best_position)
+        defined += doubled[k:]
+        subset = np.concatenate((wild, defined))
+        lengths = np.concatenate((np.repeat(lengths[:k], 2), lengths[k:]))
+        words = [np.concatenate((np.repeat(w[:k], 2), w[k:])) for w in words]
         n_subsets *= 2
-    return chosen
 
 
 def pattern_of(address: int, bits: Sequence[int], width: int) -> int:
@@ -324,6 +334,11 @@ class PartitionPlan:
     _live_cache: Optional[tuple] = field(
         default=None, init=False, repr=False
     )
+    #: ``(source table length, per-LC source row of every route)``, set by
+    #: :func:`partition_table`; see :meth:`copy_for_updates`.
+    _source_rows: Optional[Tuple[int, List[np.ndarray]]] = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def width(self) -> int:
@@ -437,34 +452,53 @@ class PartitionPlan:
         :class:`~repro.core.faults.FaultSchedule` never mutates a plan that
         other runs (or a memoizing caller) also hold.
         """
-        return PartitionPlan(
-            bits=self.bits,
-            n_lcs=self.n_lcs,
-            lc_of_pattern=self.lc_of_pattern,
-            tables=self.tables,
-            source_version=self.source_version,
-            replicas_of_pattern=self.replicas_of_pattern,
-            failed_lcs=set(self.failed_lcs),
-            epoch=self.epoch,
-        )
+        return self._view(self.tables)
 
     def copy_for_updates(self) -> "PartitionPlan":
         """An independent view for a run that applies routing updates.
 
-        Unlike :meth:`copy_for_faults` this also deep-copies the per-LC
+        Unlike :meth:`copy_for_faults` this also copies the per-LC
         forwarding tables, because a churn run *mutates* them — a shared
         (possibly memoized) plan must never see another run's updates.
+        Columnar tables come back inflated, keyed by one Prefix object per
+        source route, shared by every LC that holds it (replicas, ``*``
+        control bits) as in a dict-backed plan; inflating each table on
+        its own would create one per holder.
         """
-        return PartitionPlan(
+        tables = [t.copy() for t in self.tables]
+        if self._source_rows is not None:
+            n_source, lc_rows = self._source_rows
+            pool: List[Optional[Prefix]] = [None] * n_source
+            for table, rows in zip(tables, lc_rows):
+                if not isinstance(table, ArrayRoutingTable) or table.inflated:
+                    continue
+                values, lengths, _ = table.as_arrays()
+                if isinstance(values, np.ndarray):
+                    values = values.tolist()
+                prefixes = []
+                for row, value, length in zip(
+                    rows.tolist(), values, lengths.tolist()
+                ):
+                    prefix = pool[row]
+                    if prefix is None:
+                        prefix = pool[row] = Prefix(value, length, table.width)
+                    prefixes.append(prefix)
+                table.inflate(prefixes)
+        return self._view(tables)
+
+    def _view(self, tables: List[RoutingTable]) -> "PartitionPlan":
+        plan = PartitionPlan(
             bits=self.bits,
             n_lcs=self.n_lcs,
             lc_of_pattern=self.lc_of_pattern,
-            tables=[t.copy() for t in self.tables],
+            tables=tables,
             source_version=self.source_version,
             replicas_of_pattern=self.replicas_of_pattern,
             failed_lcs=set(self.failed_lcs),
             epoch=self.epoch,
         )
+        plan._source_rows = self._source_rows
+        return plan
 
     def partition_sizes(self) -> List[int]:
         return [len(t) for t in self.tables]
@@ -520,23 +554,32 @@ def partition_table(
     power of two, so the balanced pattern→LC assignment can even out both
     table sizes and home traffic.  Pass ``pattern_oversubscription=1`` for
     the paper's exact η.  Power-of-two ψ always uses exactly ⌈log2 ψ⌉.
+
+    Every argument is checked before any selection work; a bad one raises
+    :class:`PartitionError` naming it.  Each LC's table lists its held
+    patterns in ascending order and, within a pattern, routes in ``table``
+    order; a route shared by several held patterns appears once, at its
+    first place.
     """
+    n_lcs = _int_field("n_lcs", n_lcs)
     if n_lcs <= 0:
         raise PartitionError(f"need at least one LC, got {n_lcs}")
-    if len(table) == 0:
-        raise PartitionError("cannot partition an empty routing table")
-    eta = max(n_lcs - 1, 0).bit_length()  # ⌈log2 ψ⌉
-    power_of_two = n_lcs & (n_lcs - 1) == 0
-    if not power_of_two:
-        oversub = 4 if pattern_oversubscription is None else pattern_oversubscription
+    replicas = _int_field("replicas", replicas)
+    if not 1 <= replicas <= n_lcs:
+        raise PartitionError(
+            f"replicas must be in [1, n_lcs]; got {replicas} for {n_lcs} LCs"
+        )
+    oversub = 4
+    if pattern_oversubscription is not None:
+        oversub = _int_field(
+            "pattern_oversubscription", pattern_oversubscription
+        )
         if oversub < 1:
-            raise PartitionError("pattern_oversubscription must be >= 1")
-        while (1 << eta) < oversub * n_lcs:
-            eta += 1
-    if bits is None:
-        bit_list = select_partition_bits(table, eta, candidate_positions)
-    else:
-        bit_list = list(bits)
+            raise PartitionError(
+                f"pattern_oversubscription must be >= 1, got {oversub}"
+            )
+    if bits is not None:
+        bit_list = [_int_field("bits entry", b) for b in bits]
         if (1 << len(bit_list)) < n_lcs:
             raise PartitionError(
                 f"{len(bit_list)} bits give {1 << len(bit_list)} patterns; "
@@ -546,24 +589,43 @@ def partition_table(
             raise PartitionError("duplicate partition bits")
         if any(not 0 <= b < table.width for b in bit_list):
             raise PartitionError("partition bit out of range")
-        eta = len(bit_list)
-
+    if len(table) == 0:
+        raise PartitionError("cannot partition an empty routing table")
+    if bits is None:
+        eta = max(n_lcs - 1, 0).bit_length()  # ⌈log2 ψ⌉
+        if n_lcs & (n_lcs - 1):  # not a power of two
+            while (1 << eta) < oversub * n_lcs:
+                eta += 1
+        bit_list = select_partition_bits(table, eta, candidate_positions)
+    eta = len(bit_list)
     n_patterns = 1 << eta
-    # Routes per pattern.
-    per_pattern: List[List[Tuple[Prefix, NextHop]]] = [
-        [] for _ in range(n_patterns)
-    ]
-    for prefix, hop in table.routes():
-        for pattern in patterns_of_prefix(prefix, bit_list):
-            per_pattern[pattern].append((prefix, hop))
 
-    if not 1 <= replicas <= n_lcs:
-        raise PartitionError(
-            f"replicas must be in [1, n_lcs]; got {replicas} for {n_lcs} LCs"
-        )
-    lc_of_pattern = assign_patterns_to_lcs(
-        [len(routes) for routes in per_pattern], n_lcs
+    # Each route's base pattern (its defined control bits, '*' bits zero)
+    # and wildcard mask; it belongs to pattern q iff q & ~mask == base.
+    width = table.width
+    values, lengths, hops = table_columns(table)
+    column = _address_column(values, width)
+    words = _address_words(column, width)
+    base = np.zeros(len(lengths), dtype=np.int64)
+    wild = np.zeros(len(lengths), dtype=np.int64)
+    for position in bit_list:
+        star = lengths <= position
+        bit = _bit_column(words, width, position)
+        base = (base << 1) | np.where(star, 0, bit)
+        wild = (wild << 1) | star
+    # Routes sharing (base, mask) share their patterns: the route × pattern
+    # compatibility mask is computed once per such class.
+    classes, class_of_route = np.unique(
+        base * n_patterns + wild, return_inverse=True
     )
+    class_of_route = class_of_route.reshape(-1)
+    compat = (
+        np.arange(n_patterns)[None, :] & ~(classes % n_patterns)[:, None]
+    ) == (classes // n_patterns)[:, None]
+    class_sizes = np.bincount(class_of_route, minlength=len(classes))
+    pattern_sizes = (compat * class_sizes[:, None]).sum(axis=0)
+
+    lc_of_pattern = assign_patterns_to_lcs(pattern_sizes.tolist(), n_lcs)
     replicas_of_pattern: Optional[List[List[int]]] = None
     if replicas > 1:
         # Replica k of a pattern lives k LCs after the primary (mod ψ):
@@ -572,19 +634,37 @@ def partition_table(
             [(primary + k) % n_lcs for k in range(replicas)]
             for primary in lc_of_pattern
         ]
-
-    tables = [RoutingTable(table.width) for _ in range(n_lcs)]
-    for pattern, routes in enumerate(per_pattern):
+    held: List[List[int]] = [[] for _ in range(n_lcs)]
+    for pattern in range(n_patterns):
         holders = (
             replicas_of_pattern[pattern]
             if replicas_of_pattern is not None
             else [lc_of_pattern[pattern]]
         )
         for lc in holders:
-            target = tables[lc]
-            for prefix, hop in routes:
-                target.update(prefix, hop)  # dedupe across merged patterns
-    return PartitionPlan(
+            held[lc].append(pattern)
+
+    # An LC's table lists its held patterns in ascending order, routes in
+    # table order within each; a route in several of them keeps its first
+    # place.  So rows sort stably by the first held pattern they match.
+    tables: List[RoutingTable] = []
+    lc_rows: List[np.ndarray] = []
+    for patterns in held:
+        mine = np.asarray(patterns)
+        hit = compat[:, mine]
+        first = np.where(
+            hit.any(axis=1), mine[hit.argmax(axis=1)], n_patterns
+        )
+        first_of_route = first[class_of_route]
+        rows = np.flatnonzero(first_of_route < n_patterns)
+        rows = rows[np.argsort(first_of_route[rows], kind="stable")]
+        lc_values = column[rows]
+        tables.append(ArrayRoutingTable(
+            lc_values if width <= 64 else lc_values.tolist(),
+            lengths[rows], hops[rows], width, validate=False,
+        ))
+        lc_rows.append(rows.astype(np.int32))
+    plan = PartitionPlan(
         bits=bit_list,
         n_lcs=n_lcs,
         lc_of_pattern=lc_of_pattern,
@@ -592,6 +672,8 @@ def partition_table(
         source_version=table.version,
         replicas_of_pattern=replicas_of_pattern,
     )
+    plan._source_rows = (len(lengths), lc_rows)
+    return plan
 
 
 def apply_route_update(

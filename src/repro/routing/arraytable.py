@@ -136,6 +136,13 @@ class ArrayRoutingTable(RoutingTable):
 
     # -- lazy dict ---------------------------------------------------------
 
+    def inflate(self, prefixes: Sequence[Prefix]) -> None:
+        """Materialise the dict now, keyed by ``prefixes`` (one per row, in
+        column order), so tables holding the same routes can share Prefix
+        objects.  No-op once inflated."""
+        if self._dict is None:
+            self._routes = dict(zip(prefixes, self._a_hops.tolist()))
+
     def _inflate(self) -> Dict[Prefix, NextHop]:
         values, lengths, hops = self._a_values, self._a_lengths, self._a_hops
         width = self.width

@@ -56,6 +56,8 @@ past the last packet's completion on fault runs.
 
 from __future__ import annotations
 
+import functools
+import gc
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -80,6 +82,39 @@ from ..traffic.packets import arrival_times
 from .engine import EventQueue, Resource
 from .results import SimulationResult
 from .shedding import shed_decision
+
+
+def _cyclic_gc_paused(run):
+    """Run ``run`` with CPython's cyclic garbage collector paused.
+
+    A run frees its per-packet state by reference counting; the only
+    reference cycles it leaves are the array engine's per-run closures
+    (about a thousand objects).  A collection during the run thus finds
+    next to nothing and only walks the heap.  How often a full collection
+    starts depends on how many objects earlier work left alive (one starts
+    when the objects surviving since the last full pass exceed a quarter
+    of the long-lived heap), so with the collector on, a run's time would
+    vary from one run to the next and with the size of the plan.
+
+    On the way out the youngest generation — every object the run
+    allocated and still holds — is collected once before the collector is
+    re-enabled.  That pass is owed either way; done here it is charged to
+    the run rather than to whatever statement of the caller next
+    allocates.  A collector the caller had disabled is left alone.
+    """
+
+    @functools.wraps(run)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return run(*args, **kwargs)
+        gc.disable()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            gc.collect(0)
+            gc.enable()
+
+    return paused
 
 
 class _Packet:
@@ -176,6 +211,14 @@ class SpalSimulator:
     ):
         self.config = config or SpalConfig()
         self.config.validate()
+        #: Wall-clock seconds per phase — kept off the SimulationResult so
+        #: deterministic fields stay bit-identical across repeats.
+        #: Construction records ``minimize``, ``partition`` and
+        #: ``matchers`` (a phase whose result was injected is absent);
+        #: :meth:`run` adds ``precompute``, ``schedule``, ``run`` and
+        #: ``collect``.  ``scripts/profile_sim.py`` and
+        #: ``scripts/obs_report.py`` read it.
+        self.phase_seconds: Dict[str, float] = {}
         # -- FIB minimisation (None = off = bit-identical) -----------------
         # When armed, the table is minimised *before* partitioning so the
         # plan, the matchers and the pool-bytes accounting all see the
@@ -191,7 +234,9 @@ class SpalSimulator:
                 )
             from ..routing.minimize import minimize_table
 
+            t0 = time.perf_counter()
             self._minimize_state = minimize_table(table, self.config.minimize)
+            self.phase_seconds["minimize"] = time.perf_counter() - t0
             table = self._minimize_state.table
             self.minimize_stats = self._minimize_state.stats
         self.table = table
@@ -214,6 +259,7 @@ class SpalSimulator:
                     )
                 self.plan: Optional[PartitionPlan] = plan
             else:
+                t0 = time.perf_counter()
                 self.plan = partition_table(
                     table,
                     self.config.n_lcs,
@@ -221,6 +267,7 @@ class SpalSimulator:
                     pattern_oversubscription=self.config.pattern_oversubscription,
                     replicas=self.config.replicas,
                 )
+                self.phase_seconds["partition"] = time.perf_counter() - t0
             if matchers is not None:
                 if len(matchers) != self.config.n_lcs:
                     raise SimulationError(
@@ -228,13 +275,17 @@ class SpalSimulator:
                     )
                 self._matchers = list(matchers)
             else:
+                t0 = time.perf_counter()
                 self._matchers = [
                     HashReferenceMatcher(t) for t in self.plan.tables
                 ]
+                self.phase_seconds["matchers"] = time.perf_counter() - t0
         else:
             self.plan = None
+            t0 = time.perf_counter()
             shared = HashReferenceMatcher(table)
             self._matchers = [shared] * self.config.n_lcs
+            self.phase_seconds["matchers"] = time.perf_counter() - t0
         n = self.config.n_lcs
         # -- observability: pre-bound instruments + normalized tracer -----
         # A disabled tracer is normalized to None here, so every
@@ -264,11 +315,6 @@ class SpalSimulator:
             )
             self.obs.gauge("sim.minimize.ratio").set(ms.ratio)
             self.obs.gauge("sim.minimize.null_routes").set(ms.null_routes)
-        #: Wall-clock seconds per run phase (precompute / schedule / run /
-        #: collect) — kept off the SimulationResult so deterministic fields
-        #: stay bit-identical across repeats; ``scripts/profile_sim.py``
-        #: reads it for the per-phase breakdown.
-        self.phase_seconds: Dict[str, float] = {}
         self.caches: List[Optional[LRCache]] = []
         for i in range(n):
             if self.config.cache is None:
@@ -1190,6 +1236,7 @@ class SpalSimulator:
 
     # -- driving ----------------------------------------------------------------
 
+    @_cyclic_gc_paused
     def run(
         self,
         streams: Sequence[np.ndarray],
@@ -1324,12 +1371,15 @@ class SpalSimulator:
             self._update_policy = update_policy
             # The run mutates forwarding state: work on private copies so
             # injected/memoized plans, matchers and oracles come back
-            # untouched (tables are deep-copied, matchers rebuilt over the
-            # copies, and the oracle re-derived from the full table).
+            # untouched (tables are deep-copied, matchers rebuilt, and the
+            # oracle re-derived from the full table).  The matchers read
+            # the source tables, which hold the same routes as the copies
+            # and stay columnar.
+            source_tables = self.plan.tables
             self.plan = self.plan.copy_for_updates()
             self._home = self.plan.home_lc
             self._matchers = [
-                HashReferenceMatcher(t) for t in self.plan.tables
+                HashReferenceMatcher(t) for t in source_tables
             ]
             if self._oracle is not None:
                 self._oracle = HashReferenceMatcher(self.table)

@@ -27,6 +27,7 @@ from repro.obs.timeline import PID_FABRIC, PID_LINE_CARDS
 from repro.routing import random_small_table
 from repro.sim import SpalSimulator
 from repro.sim.results import SimulationResult
+from repro.tries import HashReferenceMatcher
 from repro.tries.lulea import LuleaTrie
 
 
@@ -362,7 +363,8 @@ class TestMetricsSnapshot:
     def test_phase_seconds_live_on_simulator_not_result(self, table):
         sim, result = traced_run(table)
         assert set(sim.phase_seconds) == {
-            "precompute", "schedule", "run", "collect",
+            "partition", "matchers", "precompute", "schedule", "run",
+            "collect",
         }
         assert all(v >= 0 for v in sim.phase_seconds.values())
         assert not hasattr(result, "phase_seconds")
@@ -380,9 +382,39 @@ class TestMetricsSnapshot:
             )
             sim.run(small_streams(2), engine=engine)
         phases = sim.phase_seconds
-        assert set(phases) == {"precompute", "schedule", "run", "collect"}
+        assert set(phases) == {
+            "partition", "matchers", "precompute", "schedule", "run",
+            "collect",
+        }
         assert all(v >= 0 for v in phases.values())
         assert phases["precompute"] > 0
+
+    def test_phase_seconds_charge_construction(self, table):
+        """Construction phases are timed when the simulator runs them and
+        left out when their result is injected; ``run`` adds the same four
+        run phases either way."""
+        config = SpalConfig(n_lcs=2, minimize="full")
+        built = SpalSimulator(table, config)
+        assert list(built.phase_seconds) == [
+            "minimize", "partition", "matchers",
+        ]
+        assert all(v > 0 for v in built.phase_seconds.values())
+
+        plain = SpalConfig(n_lcs=2)
+        injected = SpalSimulator(
+            built.table, plain, plan=built.plan,
+            matchers=[HashReferenceMatcher(t) for t in built.plan.tables],
+        )
+        assert injected.phase_seconds == {}
+        half = SpalSimulator(built.table, plain, plan=built.plan)
+        assert list(half.phase_seconds) == ["matchers"]
+        shared = SpalSimulator(table, plain, partitioned=False)
+        assert list(shared.phase_seconds) == ["matchers"]
+
+        injected.run(small_streams(2))
+        assert list(injected.phase_seconds) == [
+            "precompute", "schedule", "run", "collect",
+        ]
 
     def test_top_metrics(self):
         r = SimulationResult(

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import repro.core.partition as partition_mod
 from repro.errors import PartitionError
 from repro.core import (
     apply_route_update,
@@ -13,7 +15,17 @@ from repro.core import (
     score_bit,
     select_partition_bits,
 )
-from repro.routing import Prefix, RoutingTable, make_rt1, random_small_table
+from repro.routing import (
+    ArrayRoutingTable,
+    Prefix,
+    RoutingTable,
+    make_rt1,
+    make_rt2,
+    random_small_table,
+)
+from repro.tries import HashReferenceMatcher
+
+from .partition_oracle import partition_table_oracle
 
 
 @pytest.fixture
@@ -112,6 +124,24 @@ class TestSelectBits:
         table = random_small_table(10, seed=1)
         with pytest.raises(PartitionError):
             select_partition_bits(table, 3, candidate_positions=[1, 2])
+
+    def test_empty_candidate_list_raises(self):
+        """``[]`` offers no candidates; only ``None`` means every bit."""
+        table = make_rt2(size=2000)
+        with pytest.raises(PartitionError, match="2 bits from 0 candidates"):
+            select_partition_bits(table, 2, candidate_positions=[])
+        assert select_partition_bits(table, 0, candidate_positions=[]) == []
+        assert select_partition_bits(table, 2, candidate_positions=None) == (
+            select_partition_bits(table, 2)
+        )
+
+    def test_repeated_candidates_count_once(self):
+        table = random_small_table(100, seed=2)
+        with pytest.raises(PartitionError, match="2 bits from 1 candidates"):
+            select_partition_bits(table, 2, candidate_positions=[3, 3])
+        assert select_partition_bits(
+            table, 2, candidate_positions=[9, 3, 9, 11, 3]
+        ) == select_partition_bits(table, 2, candidate_positions=[9, 3, 11])
 
     def test_avoids_high_positions(self):
         """Criterion (1) rules out large ν: most prefixes are shorter, so
@@ -216,6 +246,183 @@ class TestPartitionPlan:
     def test_empty_table_raises(self):
         with pytest.raises(PartitionError):
             partition_table(RoutingTable(), 4)
+
+
+class TestInputContract:
+    """Every argument is checked before bit selection starts, and a bad one
+    raises PartitionError naming it."""
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        def no_selection(*args, **kwargs):
+            raise AssertionError("bit selection ran before the check")
+
+        monkeypatch.setattr(
+            partition_mod, "select_partition_bits", no_selection
+        )
+        return random_small_table(50, seed=10)
+
+    @pytest.mark.parametrize("replicas", [0, 5, 2.0, True])
+    def test_replicas(self, table, replicas):
+        with pytest.raises(PartitionError, match="replicas"):
+            partition_table(table, 4, replicas=replicas)
+
+    @pytest.mark.parametrize("psi", [3, 4])
+    @pytest.mark.parametrize("oversub", [0, -1, 1.5])
+    def test_pattern_oversubscription(self, table, psi, oversub):
+        """Checked for every ψ, power of two or not."""
+        with pytest.raises(PartitionError, match="pattern_oversubscription"):
+            partition_table(table, psi, pattern_oversubscription=oversub)
+
+    @pytest.mark.parametrize("bits", [[1.5, 3], [True, 3], ["1", 3]])
+    def test_bits_entries_must_be_int(self, table, bits):
+        with pytest.raises(PartitionError, match="bits entry"):
+            partition_table(table, 4, bits=bits)
+
+    def test_candidate_positions_entries_must_be_int(self):
+        table = random_small_table(50, seed=10)
+        with pytest.raises(PartitionError, match="candidate_positions"):
+            partition_table(table, 4, candidate_positions=[1, 2.5, 7])
+
+    @pytest.mark.parametrize("n_lcs", [0, 2.5, False])
+    def test_n_lcs(self, table, n_lcs):
+        with pytest.raises(PartitionError):
+            partition_table(table, n_lcs)
+
+    def test_numpy_ints_accepted(self):
+        table = random_small_table(50, seed=10)
+        plan = partition_table(
+            table, np.int64(4), bits=[np.int64(1), 3],
+            replicas=np.int64(2),
+        )
+        assert plan.bits == [1, 3]
+        assert all(type(b) is int for b in plan.bits)
+
+
+@st.composite
+def partition_cases(draw):
+    """A small table plus partition_table arguments that the oracle can
+    also take: widths 4-32 and 128, ψ 1-9, replicas 1-3, explicit bits or
+    candidate positions, with or without a default route, dict-backed or
+    columnar."""
+    width = draw(st.one_of(st.integers(4, 32), st.just(128)))
+    n = draw(st.integers(1, 40))
+    routes = {}
+    for _ in range(n):
+        length = draw(st.integers(1, width))
+        raw = draw(st.integers(0, (1 << width) - 1))
+        value = (raw >> (width - length)) << (width - length)
+        routes[(value, length)] = draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        routes[(0, 0)] = draw(st.integers(0, 7))
+    items = list(routes.items())
+    if draw(st.booleans()):
+        table = RoutingTable.from_arrays(
+            [v for (v, _), _ in items],
+            [l for (_, l), _ in items],
+            [h for _, h in items],
+            width=width,
+        )
+    else:
+        table = RoutingTable.from_routes(
+            [(Prefix(v, l, width), h) for (v, l), h in items], width=width
+        )
+    n_lcs = draw(st.integers(1, 9))
+    kwargs = {"replicas": draw(st.integers(1, min(3, n_lcs)))}
+    if n_lcs & (n_lcs - 1):
+        kwargs["pattern_oversubscription"] = draw(
+            st.one_of(st.none(), st.integers(1, 4))
+        )
+    positions = st.integers(0, width - 1)
+    mode = draw(st.sampled_from(["auto", "bits", "candidates"]))
+    if mode == "bits":
+        least = max(n_lcs - 1, 0).bit_length()
+        count = draw(st.integers(least, min(least + 2, width)))
+        kwargs["bits"] = draw(
+            st.lists(positions, min_size=count, max_size=count, unique=True)
+        )
+    elif mode == "candidates":
+        kwargs["candidate_positions"] = draw(
+            st.lists(positions, min_size=1, max_size=width, unique=True)
+        )
+    return table, n_lcs, kwargs
+
+
+def _rows(table):
+    return [(p.value, p.length, h) for p, h in table.routes()]
+
+
+class TestOracleEquivalence:
+    @given(partition_cases())
+    def test_plan_matches_prefix_walking_oracle(self, case):
+        """The columnar partitioner reproduces the Prefix-walking plan
+        exactly: bits, pattern → LC maps, and every per-LC route in
+        order."""
+        table, n_lcs, kwargs = case
+        try:
+            want = partition_table_oracle(table, n_lcs, **kwargs)
+        except PartitionError:
+            # Too few candidate positions for the η this ψ needs.
+            with pytest.raises(PartitionError, match="candidates"):
+                partition_table(table, n_lcs, **kwargs)
+            return
+        got = partition_table(table, n_lcs, **kwargs)
+        assert got.bits == want.bits
+        assert got.lc_of_pattern == want.lc_of_pattern
+        assert got.replicas_of_pattern == want.replicas_of_pattern
+        assert got.source_version == want.source_version
+        assert [_rows(t) for t in got.tables] == [
+            _rows(t) for t in want.tables
+        ]
+
+    @pytest.mark.parametrize("psi,replicas", [(8, 1), (6, 1), (3, 1), (8, 2)])
+    def test_rt2_matches_oracle(self, psi, replicas):
+        table = make_rt2(size=3000)
+        got = partition_table(table, psi, replicas=replicas)
+        want = partition_table_oracle(table, psi, replicas=replicas)
+        assert got.bits == want.bits
+        assert got.lc_of_pattern == want.lc_of_pattern
+        assert [_rows(t) for t in got.tables] == [
+            _rows(t) for t in want.tables
+        ]
+
+
+class TestColumnarPlan:
+    def test_no_inflation(self):
+        """Partitioning a columnar table and building matchers over the
+        plan creates no Prefix dict anywhere: the input stays columnar and
+        so does every per-LC table."""
+        table = make_rt2(size=3000)
+        assert isinstance(table, ArrayRoutingTable) and not table.inflated
+        plan = partition_table(table, 6, replicas=2)
+        for lc_table in plan.tables:
+            HashReferenceMatcher(lc_table)
+        assert not table.inflated
+        for lc_table in plan.tables:
+            assert isinstance(lc_table, ArrayRoutingTable)
+            assert not lc_table.inflated
+
+    def test_copy_for_updates_shares_prefix_objects(self):
+        """A churn run's copy is inflated up front with one Prefix object
+        per route, shared by every LC that holds it, as in a dict-backed
+        plan; the source plan and table stay columnar."""
+        table = make_rt2(size=3000)
+        source = partition_table(table, 4, replicas=2)
+        plan = source.copy_for_updates()
+        assert all(t.inflated for t in plan.tables)
+        held = [p for lc_table in plan.tables for p in lc_table]
+        assert len(held) > len(table)
+        assert len({id(p) for p in held}) == len(
+            {(p.value, p.length) for p in held}
+        )
+        before = [_rows(t) for t in source.tables]
+        assert [_rows(t) for t in plan.tables] == before
+        assert not any(t.inflated for t in source.tables)
+        assert not table.inflated
+
+        touched = apply_route_update(plan, Prefix.default(32), 999)
+        assert sorted(touched) == [0, 1, 2, 3]
+        assert [_rows(t) for t in source.tables] == before
 
 
 class TestIncrementalUpdates:

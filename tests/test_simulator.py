@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine and the SPAL cycle simulator."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,55 @@ class TestSpalSimulator:
             return sim.run(streams_for(table, 2, 600)).mean_lookup_cycles
 
         assert once() == once()
+
+    @pytest.mark.parametrize("engine", ["array", "scalar"])
+    def test_run_pauses_cyclic_gc(self, table, engine):
+        """Inside ``run`` the only collection is the one young-generation
+        pass on the way out, even at a threshold that starts one per
+        allocation; the collector's state comes back afterwards: enabled
+        after a run and after a run that raises, disabled (and never
+        started) when the caller had disabled it."""
+        streams = streams_for(table, 2, 300)
+        config = SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=64))
+        starts = []
+        recording = [False]
+
+        def count(phase, info):
+            if phase == "start" and recording[0]:
+                starts.append(info["generation"])
+
+        def run(sim):
+            recording[0] = True
+            try:
+                sim.run(streams, engine=engine)
+            finally:
+                recording[0] = False
+
+        was_enabled = gc.isenabled()
+        threshold = gc.get_threshold()
+        gc.callbacks.append(count)
+        try:
+            gc.enable()
+            gc.set_threshold(1)
+            sim = SpalSimulator(table, config)
+            run(sim)
+            assert starts == [0]
+            assert gc.isenabled()
+            starts.clear()
+            with pytest.raises(SimulationError, match="single-use"):
+                sim.run(streams, engine=engine)
+            assert gc.isenabled()
+            gc.disable()
+            run(SpalSimulator(table, config))
+            assert starts == []
+            assert not gc.isenabled()
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*threshold)
+            if was_enabled:
+                gc.enable()
+            else:
+                gc.disable()
 
 
 class TestBaselines:
